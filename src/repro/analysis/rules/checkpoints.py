@@ -26,6 +26,13 @@ What counts as *unbounded*:
   as are constant ``range(<literal>)`` inner loops and trivial whiles.
   (``for j in range(i, n)`` counts as a traversal too; triangular loops
   slip through — the lint over-approximates toward silence, never noise.)
+* a ``for`` statement that is an *iteration cap*: ``for _ in
+  range(<non-literal>)`` whose counter the body never reads, such as the
+  simplex's ``for _ in range(max_pivots)``.  It repeats one step up to a
+  configured limit rather than walking an input, so it is treated like a
+  ``while`` (trivial bodies exempt).  Motivating incident: a check with a
+  30 s budget answered only after 89.7 s, stuck in that pivot loop, which
+  did not checkpoint.
 
 Coverage follows the codebase's two budget-charging idioms:
 
@@ -37,9 +44,9 @@ Coverage follows the codebase's two budget-charging idioms:
 * **charge-up-front**: a conversion checkpoints once with a cost scaled
   to the whole job before running its (terminating) loops
   (``DenseNfa.from_nfa``) — so a ``for`` loop also passes when the
-  enclosing *function* reaches a checkpoint anywhere.  A ``while`` does
-  not get this out: its iteration count is not structurally bounded, so
-  an up-front charge can never cover it.
+  enclosing *function* reaches a checkpoint anywhere.  A ``while`` or an
+  iteration cap does not get this out: its iteration count is not
+  structurally bounded, so an up-front charge can never cover it.
 
 Only the outermost uncovered loop of a nest is reported, so one missing
 checkpoint yields one finding, not one per nesting level.
@@ -93,29 +100,60 @@ _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
-def _constant_range(node: ast.AST) -> bool:
-    """``for _ in range(<literal>)`` (or two/three literal args)."""
+def _range_loop(node: ast.AST) -> bool:
+    """``for <target> in range(...)`` (positional arguments only)."""
     if not isinstance(node, (ast.For, ast.AsyncFor)):
         return False
     iterable = node.iter
-    if not (
+    return (
         isinstance(iterable, ast.Call)
         and isinstance(iterable.func, ast.Name)
         and iterable.func.id == "range"
         and not iterable.keywords
-    ):
-        return False
-    return all(
-        isinstance(arg, ast.Constant) and isinstance(arg.value, int)
-        for arg in iterable.args
     )
 
 
-def _trivial_while(node: ast.AST) -> bool:
-    """A while whose body does constant local work per iteration."""
-    if not isinstance(node, ast.While):
+def _constant_range(node: ast.AST) -> bool:
+    """``for _ in range(<literal>)`` (or two/three literal args)."""
+    return _range_loop(node) and all(
+        isinstance(arg, ast.Constant) and isinstance(arg.value, int)
+        for arg in node.iter.args
+    )
+
+
+def _iteration_cap(node: ast.AST) -> bool:
+    """``for _ in range(<non-literal>)`` whose counter the body never reads.
+
+    Such a loop repeats one step up to a limit (``max_pivots``,
+    ``cut_rounds``) instead of walking an input, and the limit is a safety
+    cap far above the typical count — as unbounded as a ``while``.
+    """
+    if not _range_loop(node) or _constant_range(node):
         return False
-    for child in ast.walk(node):
+    target = node.target
+    if not isinstance(target, ast.Name):
+        return False
+    return not any(
+        isinstance(child, ast.Name)
+        and child.id == target.id
+        and isinstance(child.ctx, ast.Load)
+        for child in ast.walk(_loop_body(node))
+    )
+
+
+def _per_iteration_only(node: ast.AST) -> bool:
+    """Loops only a per-iteration checkpoint covers (no up-front excuse)."""
+    return isinstance(node, ast.While) or _iteration_cap(node)
+
+
+def _trivial_loop(node: ast.AST) -> bool:
+    """A while (or iteration cap) whose body does constant local work per
+    iteration."""
+    if not _per_iteration_only(node):
+        return False
+    # a while's test runs every iteration too; a for's ``range(...)`` once
+    tree = node if isinstance(node, ast.While) else _loop_body(node)
+    for child in ast.walk(tree):
         if child is node:
             continue
         if isinstance(child, _LOOPS):
@@ -174,7 +212,7 @@ def _has_product_nesting(outer: ast.For) -> bool:
                 # a nested def's loops run in its caller's context
                 continue
             if isinstance(child, ast.While):
-                if not _trivial_while(child):
+                if not _trivial_loop(child):
                     return True
                 continue  # a trivial while contains no further loops
             if isinstance(child, (ast.For, ast.AsyncFor)):
@@ -197,8 +235,8 @@ def _has_product_nesting(outer: ast.For) -> bool:
 
 
 def _unbounded(node: ast.AST) -> bool:
-    if isinstance(node, ast.While):
-        return not _trivial_while(node)
+    if _per_iteration_only(node):
+        return not _trivial_loop(node)
     if isinstance(node, (ast.For, ast.AsyncFor)):
         return not _constant_range(node) and _has_product_nesting(node)
     return False
@@ -235,17 +273,18 @@ class CheckpointCoverage(Rule):
                     _loop_body(child)
                 )
                 # for-loops terminate, so an up-front charge anywhere in
-                # the enclosing function covers them; whiles need the
-                # per-iteration form.
+                # the enclosing function covers them; whiles and
+                # iteration caps need the per-iteration form.
                 excused = reaches or (
-                    func_covered and not isinstance(child, ast.While)
+                    func_covered and not _per_iteration_only(child)
                 )
                 if not excused and _unbounded(child):
-                    kind = (
-                        "while loop"
-                        if isinstance(child, ast.While)
-                        else "product-nested for loop"
-                    )
+                    if isinstance(child, ast.While):
+                        kind = "while loop"
+                    elif _iteration_cap(child):
+                        kind = "iteration-capped for loop"
+                    else:
+                        kind = "product-nested for loop"
                     findings.append(
                         self.finding(
                             module,

@@ -17,6 +17,7 @@ import random
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..budget import checkpoint
 from . import operations as ops
 from .dense import as_dense, as_nfa
 from .nfa import State
@@ -85,6 +86,7 @@ def count_words_of_length(nfa, length: int) -> int:
     dfa, _ = ops.determinize(source, sigma, want_subsets=False)
     counts: Dict[State, int] = {state: 1 for state in dfa.initial}
     for _ in range(length):
+        checkpoint("automata.count_words", len(counts) + 1)
         new_counts: Dict[State, int] = {}
         for state, count in counts.items():
             for symbol, dst in dfa.transitions_from(state):

@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..budget import checkpoint
 from .terms import LinExpr
 
 #: exact numbers in the tableau: ``int`` on the fast path, ``Fraction``
@@ -408,6 +409,9 @@ class Simplex:
             return self._order[name]
 
         for _ in range(max_pivots):
+            # ``max_pivots`` is a safety cap, not a size bound: each pivot
+            # is charged so a budget can stop a long pivot sequence.
+            checkpoint("lia.simplex")
             # Bland's rule: repair the violating basic variable of smallest
             # index (a single min-scan; sorting every round dominated checks).
             violating: Optional[str] = None

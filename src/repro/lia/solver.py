@@ -179,7 +179,15 @@ class _Level:
 
 
 class _Context:
-    """The persistent state behind one assertion stack."""
+    """The persistent state behind one assertion stack.
+
+    The SAT engine holds no reference back to its ``_Context``: the theory
+    callback (a bound method) is installed on ``self.sat`` only while
+    ``sat.solve`` runs.  A stored bound method would close the cycle
+    ``_Context`` → ``DpllSolver`` → ``_Context``, and a dropped solver would
+    then keep its CNF, simplex and formulas alive until the next cyclic
+    garbage collection instead of being freed by reference counting.
+    """
 
     def __init__(self, config: LiaConfig) -> None:
         self.config = config
@@ -189,7 +197,6 @@ class _Context:
             num_vars=0,
             clauses=(),
             theory_atoms=self.theory_atoms,
-            theory_callback=self._theory_callback,
             max_conflicts=config.max_conflicts,
         )
         self.theory = Simplex()
@@ -769,6 +776,7 @@ class _Context:
         if false_label is not None:
             return result(LiaStatus.UNSAT, core_labels=(false_label,))
 
+        self.sat.theory_callback = self._theory_callback
         try:
             verdict, _boolean_model = self.sat.solve(
                 budget=budget,
@@ -777,6 +785,8 @@ class _Context:
             )
         except ResourceLimit as error:
             return result(LiaStatus.UNKNOWN, reason=str(error))
+        finally:
+            self.sat.theory_callback = None
 
         if verdict == "unsat":
             if self._gave_up:

@@ -187,6 +187,74 @@ def test_reintroducing_unchecked_intsolver_loop_trips_analyzer():
     assert violations(broken, "checkpoint-coverage")
 
 
+def test_checkpoint_iteration_cap_needs_a_per_iteration_checkpoint():
+    # ``for _ in range(max_pivots)`` repeats a step up to a safety cap: like
+    # a while, an up-front charge in the function does not cover it
+    capped = """
+from ..budget import checkpoint
+
+def repair(tableau, max_pivots):
+    checkpoint("stage", 1)
+    for _ in range(max_pivots):
+        row = tableau.violated()
+        if row is None:
+            return True
+        tableau.pivot(row)
+    return False
+"""
+    report = run_rules(capped, relpath="src/repro/lia/fixture.py",
+                       rules=["checkpoint-coverage"])
+    found = violations(report, "checkpoint-coverage")
+    assert [f.line for f in found] == [6]
+    assert "iteration-capped" in found[0].message
+
+    covered = capped.replace("        row = tableau.violated()",
+                             "        checkpoint(\"stage\", 1)\n        row = tableau.violated()")
+    report = run_rules(covered, relpath="src/repro/lia/fixture.py",
+                       rules=["checkpoint-coverage"])
+    assert not violations(report, "checkpoint-coverage")
+
+
+def test_checkpoint_range_loops_that_are_not_caps_stay_exempt():
+    source = """
+def copy(xs, n, width):
+    out = []
+    for i in range(n):
+        out.append(rebuild(xs[i]))
+    for _ in range(3):
+        out = rebuild(out)
+    for _ in range(width):
+        out.append(0)
+    return out
+"""
+    report = run_rules(source, relpath="src/repro/lia/fixture.py",
+                       rules=["checkpoint-coverage"])
+    assert not violations(report, "checkpoint-coverage")
+
+
+def test_removing_the_simplex_pivot_checkpoint_trips_analyzer():
+    path = os.path.join(REPO, "src/repro/lia/simplex.py")
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    assert 'checkpoint("lia.simplex")' in source
+    stripped = source.replace('checkpoint("lia.simplex")\n', "pass\n")
+    # analyzed alone, so other modules' same-named methods cannot cover it
+    clean, broken = (
+        {
+            (f.line, f.message.split(" never")[0])
+            for f in violations(
+                run_rules(text, relpath="src/repro/lia/simplex.py",
+                          rules=["checkpoint-coverage"]),
+                "checkpoint-coverage",
+            )
+        }
+        for text in (source, stripped)
+    )
+    pivot_loop = source.index("for _ in range(max_pivots)")
+    line = source.count("\n", 0, pivot_loop) + 1
+    assert broken - clean == {(line, "iteration-capped for loop")}
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------

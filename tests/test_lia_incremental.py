@@ -273,3 +273,37 @@ def test_check_reports_per_check_stats():
     assert second.status is LiaStatus.UNSAT
     # stats are per-check deltas, not cumulative totals
     assert second.stats["restarts"] == 1
+
+
+def test_a_dropped_script_runner_frees_its_lia_context_without_the_cycle_collector():
+    """Per-check LIA state is freed by reference counting alone: nothing in
+    the SAT engine points back at its ``_Context`` once a check is over."""
+    import gc
+    import weakref
+
+    from repro import SolverConfig
+    from repro.lia.solver import _Context
+    from repro.smtlib import ScriptRunner
+
+    script = (
+        '(set-info :alphabet "ab")\n(declare-const x String)\n(declare-const y String)\n'
+        '(assert (str.in_re x (re.+ (str.to_re "ab"))))\n'
+        "(assert (= (str.len x) (+ (str.len y) 3)))\n(check-sat)\n"
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(obj) for obj in gc.get_objects() if isinstance(obj, _Context)}
+        runner = ScriptRunner(config=SolverConfig(timeout=30.0))
+        runner.run(script)
+        assert runner.verdicts == ["sat"]
+        contexts = [
+            weakref.ref(obj)
+            for obj in gc.get_objects()
+            if isinstance(obj, _Context) and id(obj) not in before
+        ]
+        assert contexts, "the check never reached the LIA solver"
+        del runner
+        assert all(ref() is None for ref in contexts)
+    finally:
+        gc.enable()

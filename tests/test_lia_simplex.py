@@ -211,3 +211,30 @@ def test_simplex_agrees_with_small_grid_search(rows):
                 assert value >= 0
             else:
                 assert value == 0
+
+
+def test_a_step_budget_stops_a_pivot_heavy_check():
+    from repro.budget import Budget, BudgetExceeded
+
+    def staircase():
+        # x_{i+1} >= x_i + 1 with x_0 >= 0: every row needs its own pivot
+        simplex = Simplex()
+        for i in range(40):
+            simplex.add_constraint(Constraint(expr({f"x{i + 1}": 1, f"x{i}": -1}, -1), ">="))
+        simplex.add_constraint(Constraint(expr({"x0": 1}), ">="))
+        return simplex
+
+    simplex = staircase()
+    budget = Budget(None, max_steps=10)
+    with pytest.raises(BudgetExceeded) as raised:
+        with budget.activate():
+            simplex.check()
+    assert raised.value.reason.stage == "lia.simplex"
+    assert simplex.pivots == 10
+
+    simplex = staircase()
+    budget = Budget(None, max_steps=1000)
+    with budget.activate():
+        assert simplex.check().feasible
+    assert simplex.pivots == 40
+    assert budget.steps == simplex.pivots + 1  # one charge per pass of the loop
